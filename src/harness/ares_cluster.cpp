@@ -10,23 +10,12 @@ AresCluster::AresCluster(AresClusterOptions options)
       net_(sim_, options.min_delay, options.max_delay) {
   assert(options_.initial_servers <= options_.server_pool);
 
-  // Initial configuration c0 over the first servers of the pool.
-  dap::ConfigSpec c0;
-  c0.id = 0;
-  c0.protocol = options_.initial_protocol;
-  c0.k = options_.initial_protocol == dap::Protocol::kTreas
-             ? options_.initial_k
-             : 1;
-  c0.delta = options_.delta;
-  c0.treas_retry_timeout = options_.treas_retry_timeout;
-  c0.semifast = options_.semifast;
-  c0.lease_ms = options_.lease_ms;
-  c0.lease_policy = options_.lease_policy;
-  c0.lease_adaptive = options_.lease_adaptive;
-  for (std::size_t i = 0; i < options_.initial_servers; ++i) {
-    c0.servers.push_back(static_cast<ProcessId>(i));
-  }
-  registry_.register_config(c0);
+  // Initial configuration c0 over the first servers of the pool. The id
+  // counter starts at 0, so c0 takes id 0 and every later spec mints 1, 2...
+  auto c0 = make_spec(options_.initial_protocol, 0, options_.initial_servers,
+                      options_.initial_k);
+  assert(c0.id == initial_config());
+  registry_.register_config(std::move(c0));
 
   for (std::size_t i = 0; i < options_.server_pool; ++i) {
     servers_.push_back(std::make_unique<reconfig::AresServer>(

@@ -212,7 +212,7 @@ class AresCluster {
   std::vector<std::unique_ptr<api::AresStore>> stores_;
   std::vector<std::unique_ptr<api::AresStore>> reconfigurer_stores_;
   std::map<ObjectId, ConfigId> placement_;
-  ConfigId next_config_id_ = 1;
+  ConfigId next_config_id_ = 0;  // c0 is minted first (constructor)
 
  public:
   /// Next unused configuration id (monotonic; callers embed it in specs).

@@ -21,6 +21,11 @@ class Table {
     rows_.push_back(std::move(row));
   }
 
+  /// One row of already formatted cells.
+  void add_cells(std::vector<std::string> row) {
+    rows_.push_back(std::move(row));
+  }
+
   void print(std::ostream& os = std::cout) const;
 
  private:

@@ -1,26 +1,49 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 namespace ares::sim {
 namespace {
+// Every simulator alive on this thread plus the active ScopedCurrent
+// guards, oldest first. current() is the newest entry, so destroying
+// simulators in any order never leaves it pointing at a destroyed one.
+// `t_current` caches the back entry: coroutine resumption reads it on
+// every hop.
+thread_local std::vector<Simulator*> t_live;
 thread_local Simulator* t_current = nullptr;
+
+void refresh_current() { t_current = t_live.empty() ? nullptr : t_live.back(); }
+
+void forget(Simulator* s) {
+  t_live.erase(std::remove(t_live.begin(), t_live.end(), s), t_live.end());
+  refresh_current();
 }
+}  // namespace
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
-  prev_current_ = t_current;
+  t_live.push_back(this);
   t_current = this;
 }
 
-Simulator::~Simulator() { t_current = prev_current_; }
+Simulator::~Simulator() { forget(this); }
 
 Simulator* Simulator::current() { return t_current; }
 
-Simulator::ScopedCurrent::ScopedCurrent(Simulator& s) : prev_(t_current) {
+Simulator::ScopedCurrent::ScopedCurrent(Simulator& s) : sim_(&s) {
+  t_live.push_back(&s);
   t_current = &s;
 }
 
-Simulator::ScopedCurrent::~ScopedCurrent() { t_current = prev_; }
+Simulator::ScopedCurrent::~ScopedCurrent() {
+  // Drop this guard's entry only (the newest one naming sim_); a no-op if
+  // the simulator itself was destroyed inside the scope.
+  auto it = std::find(t_live.rbegin(), t_live.rend(), sim_);
+  if (it != t_live.rend()) t_live.erase(std::next(it).base());
+  refresh_current();
+}
 
 void Simulator::post(std::function<void()> action) {
   queue_.push(now_, std::move(action));

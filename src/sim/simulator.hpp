@@ -20,8 +20,10 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// The simulator most recently constructed on this thread (coroutine
-  /// promises use it to schedule resumptions through the event queue).
+  /// The newest simulator still alive on this thread (or the innermost
+  /// ScopedCurrent target), whatever order earlier ones were destroyed in.
+  /// Coroutine promises use it to schedule resumptions through the event
+  /// queue. A simulator must be destroyed on the thread that built it.
   [[nodiscard]] static Simulator* current();
 
   /// RAII: makes `s` the thread's current() for the scope. The socket
@@ -37,7 +39,7 @@ class Simulator {
     ScopedCurrent& operator=(const ScopedCurrent&) = delete;
 
    private:
-    Simulator* prev_;
+    Simulator* sim_;
   };
 
   [[nodiscard]] SimTime now() const { return now_; }
@@ -81,7 +83,6 @@ class Simulator {
   SimTime now_ = 0;
   Rng rng_;
   std::size_t executed_ = 0;
-  Simulator* prev_current_ = nullptr;
 };
 
 }  // namespace ares::sim

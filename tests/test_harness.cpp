@@ -87,6 +87,33 @@ TEST(AresClusterBuilder, ConfigIdsAreUnique) {
   EXPECT_NE(a.id, b.id);
 }
 
+TEST(AresClusterBuilder, LdrInitialConfigServesAtomicOps) {
+  harness::AresClusterOptions o;
+  o.server_pool = 5;
+  o.initial_servers = 5;
+  o.initial_protocol = dap::Protocol::kLdr;
+  o.num_rw_clients = 2;
+  o.num_reconfigurers = 0;
+  harness::AresCluster cluster(o);
+  const auto& c0 = cluster.registry().get(cluster.initial_config());
+  EXPECT_FALSE(c0.directories.empty());
+  EXPECT_EQ(c0.replicas.size(), 5u);
+
+  auto payload = make_value(make_test_value(64, 7));
+  const auto w = sim::run_to_completion(
+      cluster.sim(), cluster.store(0).write(kDefaultObject, payload));
+  ASSERT_TRUE(w.ok());
+  const auto r = sim::run_to_completion(cluster.sim(),
+                                        cluster.store(1).read(kDefaultObject));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.tag, w.tag);
+  ASSERT_TRUE(r.value);
+  EXPECT_EQ(*r.value, *payload);
+  const auto verdicts = cluster.check_atomicity_per_object();
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_TRUE(verdicts.begin()->second.ok);
+}
+
 TEST(Workload, ProducesRequestedOperationCount) {
   harness::StaticClusterOptions o;
   o.protocol = dap::Protocol::kAbd;

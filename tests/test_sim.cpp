@@ -99,6 +99,15 @@ TEST(Simulator, CurrentPointsToNewest) {
   EXPECT_EQ(Simulator::current(), &outer);
 }
 
+TEST(Simulator, CurrentSurvivesOutOfOrderDestruction) {
+  auto a = std::make_unique<Simulator>();
+  auto b = std::make_unique<Simulator>();
+  a.reset();  // the older one dies first
+  EXPECT_EQ(Simulator::current(), b.get());
+  b.reset();
+  EXPECT_EQ(Simulator::current(), nullptr);
+}
+
 // --- coroutines -------------------------------------------------------------
 
 Future<int> make_fortytwo() { co_return 42; }
